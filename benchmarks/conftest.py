@@ -5,8 +5,7 @@ fixtures below are session-scoped so the (comparatively expensive) dynamic and
 static analyses run once and are shared by every uServer / diff benchmark.
 
 Scale: workload sizes and budgets are scaled down so the whole harness runs in
-minutes on a laptop; see DESIGN.md §2 and EXPERIMENTS.md for the mapping to the
-paper's setup.
+minutes on a laptop.
 """
 
 from __future__ import annotations

@@ -1,13 +1,12 @@
 """Experiment generators: one function per table/figure of the paper.
 
-These functions are shared by the ``benchmarks/`` harness (which times them and
-prints the regenerated rows) and by ``EXPERIMENTS.md``.  Every function returns
-a list of row dictionaries so the output can be printed, asserted on, or dumped
-to JSON.
+These functions back the ``benchmarks/`` harness, which times them and prints
+the regenerated rows.  Every function returns a list of row dictionaries so the
+output can be printed, asserted on, or dumped to JSON.
 
 Scale note: the paper's absolute numbers come from native execution of the real
 programs; this reproduction interprets MiniC re-implementations, so workload
-sizes and budgets are scaled down (see DESIGN.md §2).  The *shape* of each
+sizes and budgets are scaled down.  The *shape* of each
 table/figure — which method wins, roughly by how much, and where the
 configurations fail — is what the generators reproduce.
 """

@@ -101,7 +101,11 @@ class ServiceSection:
       length alone).
     * ``max_rejected_entries`` — size cap of the rejection ledger; oldest
       entries are evicted so a sustained garbage-upload storm cannot grow
-      ``inbox.json`` without limit.
+      the inbox state without limit.  That state is an ``inbox.json``
+      snapshot plus an append-only ``inbox.log``: every mutation appends
+      one line, and once the log holds more records than the snapshot held
+      traces (at least 64) the snapshot is rewritten and the log emptied —
+      there is no knob for it.
     * ``ingest_queue_depth`` / ``spool_writers`` — the listener's bounded
       ingest queue and the threads draining it into the journaled spool;
       when the queue is full the server answers *retry-after* instead of

@@ -21,16 +21,31 @@ The inbox is the receiving dock for that traffic:
   *one* replay search whose reproduction report fans back out to every
   member, without ever handing a trace a report its own single-shot search
   would not have produced.
-* **restartable state** — the inbox persists its ledger (``inbox.json``) and
-  a copy of every ingested trace under its root directory, so a restarted
-  service resumes exactly where it stopped: spool files already ingested are
-  not re-ingested, finished clusters keep their reports, pending clusters
-  are searched next.
+* **restartable state** — the inbox persists its ledger and a copy of every
+  ingested trace under its root directory, so a restarted service resumes
+  exactly where it stopped: spool files already ingested are not
+  re-ingested, finished clusters keep their reports, pending clusters are
+  searched next.
+
+The ledger is log-structured: an ``inbox.json`` snapshot plus an
+append-only ``inbox.log`` of JSON lines.  Every mutation — an ingest, a
+rejection, a finished search — appends one self-contained record (flushed,
+not fsynced), so persisting an upload costs O(1) instead of a rewrite of
+the whole ledger.  An ingest of a spool file carries its spool-ledger entry
+in the same record, so a crash shows the file either fully ingested or not
+at all.  Loading reads the snapshot, then replays the log, skipping torn or
+ill-shaped lines.  Replay is idempotent — an ingest of a known trace is
+skipped, and a repeated rejection or search result ends in the same state —
+so log records the snapshot already holds do no harm.  Once the log holds
+more records than the last snapshot held traces (and at least 64), the
+snapshot is rewritten (temp file + ``os.replace``) and the log truncated:
+the snapshot at least doubles between rewrites, so compaction stays
+amortized O(1) per mutation.
 
 Corrupt or truncated trace files never poison a batch: they are recorded in
 the rejection ledger (with the one-line reason) and skipped on subsequent
 polls.  The ledger is *bounded* (``max_rejected`` entries, oldest evicted)
-so a sustained garbage storm cannot grow ``inbox.json`` without limit, and
+so a sustained garbage storm cannot grow the inbox state without limit, and
 every rejection increments a ``service.rejected.<reason>`` telemetry
 counter when the inbox is given a registry.
 
@@ -58,7 +73,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.planner.ledger import plan_fingerprint_digest, plan_version_of
 from repro.trace import Trace, TraceError, load_trace_bytes
@@ -75,8 +90,17 @@ __all__ = [
 ]
 
 _STATE_FILE = "inbox.json"
+_LOG_FILE = "inbox.log"
 _TRACE_DIR = "traces"
-_STATE_VERSION = 1
+#: Version 2 snapshots come with ``inbox.log``; version 1 (a whole-ledger
+#: rewrite per mutation, no log) is still read.
+_STATE_VERSION = 2
+_READABLE_VERSIONS = (1, 2)
+#: The log is compacted into a fresh snapshot once it holds more records
+#: than the last snapshot held traces, and never below this many.
+_COMPACT_FLOOR = 64
+_STATUSES = ("pending", "done", "failed")
+_TRACE_FIELDS = ("cluster", "program", "scenario", "file", "source")
 _JOURNAL_FILE = "journal.log"
 _PART_PREFIX = "part-"
 _TMP_SUFFIX = ".part"
@@ -180,7 +204,13 @@ class SpoolJournal:
         self.root = root
         os.makedirs(root, exist_ok=True)
         self.path = os.path.join(root, _JOURNAL_FILE)
+        torn = _has_torn_tail(self.path)
         self._handle = open(self.path, "a", encoding="utf-8")
+        if torn:
+            # End the torn line a crash left, or the next record would be
+            # glued onto it and lost with it.
+            self._handle.write("\n")
+            self._handle.flush()
 
     def _append(self, record: Dict[str, str]) -> None:
         self._handle.write(json.dumps(record, sort_keys=True) + "\n")
@@ -214,17 +244,12 @@ class SpoolJournal:
         begun: List[str] = []
         ended = set()
         try:
-            with open(self.path, encoding="utf-8") as handle:
-                for line in handle:
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        continue
-                    if record.get("op") == "SEARCH_BEGIN":
-                        if record["key"] not in begun:
-                            begun.append(record["key"])
-                    elif record.get("op") == "SEARCH_END":
-                        ended.add(record["key"])
+            for record in _journal_records(self.path):
+                if record["op"] == "SEARCH_BEGIN":
+                    if record["key"] not in begun:
+                        begun.append(record["key"])
+                elif record["op"] == "SEARCH_END":
+                    ended.add(record["key"])
         except FileNotFoundError:
             return []
         return [key for key in begun if key not in ended]
@@ -241,17 +266,12 @@ class SpoolJournal:
         begun: Dict[str, str] = {}
         committed: Dict[str, str] = {}
         try:
-            with open(self.path, encoding="utf-8") as handle:
-                for line in handle:
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        continue  # torn trailing write of an unacked entry
-                    if record.get("op") == "BEGIN":
-                        begun[record["key"]] = record["path"]
-                    elif record.get("op") == "COMMIT":
-                        if record["key"] in begun:
-                            committed[record["key"]] = begun[record["key"]]
+            for record in _journal_records(self.path):
+                if record["op"] == "BEGIN" and "path" in record:
+                    begun[record["key"]] = record["path"]
+                elif record["op"] == "COMMIT":
+                    if record["key"] in begun:
+                        committed[record["key"]] = begun[record["key"]]
         except FileNotFoundError:
             return {}
         for key, final_path in begun.items():
@@ -273,6 +293,41 @@ class SpoolJournal:
 
     def close(self) -> None:
         self._handle.close()
+
+
+def _journal_records(path: str) -> Iterator[Dict[str, str]]:
+    """The journal's usable records, in order.
+
+    A record is usable when it is an object whose values are all strings and
+    which names an ``op`` and a ``key``; anything else — a torn line, or a
+    line damaged into some other JSON value — is skipped, since it can only
+    belong to a write that was never acknowledged.
+    """
+
+    with open(path, "rb") as handle:
+        for line in handle:
+            try:
+                record = json.loads(line)
+            except (ValueError, RecursionError):
+                continue
+            if (isinstance(record, dict) and "op" in record
+                    and "key" in record
+                    and all(isinstance(value, str)
+                            for value in record.values())):
+                yield record
+
+
+def _has_torn_tail(path: str) -> bool:
+    """Whether the file at *path* ends in an unterminated line."""
+
+    try:
+        with open(path, "rb") as handle:
+            if handle.seek(0, os.SEEK_END) == 0:
+                return False
+            handle.seek(-1, os.SEEK_END)
+            return handle.read(1) != b"\n"
+    except FileNotFoundError:
+        return False
 
 
 def journaled_spool_write(journal: SpoolJournal, final_path: str,
@@ -366,19 +421,68 @@ class TraceCluster:
         }
 
     @classmethod
-    def from_json(cls, payload: Dict[str, object]) -> "TraceCluster":
-        return cls(cluster_id=payload["cluster_id"],
-                   program=payload["program"],
-                   scenario=payload["scenario"],
-                   crash_site=payload.get("crash_site"),
-                   bits=payload["bits"],
-                   arrival=payload["arrival"],
-                   members=list(payload.get("members", [])),
-                   status=payload.get("status", "pending"),
-                   report=payload.get("report"),
-                   bug_key=payload.get("bug_key", ""),
-                   plan_fingerprint=payload.get("plan_fingerprint", ""),
-                   plan_version=payload.get("plan_version", 0))
+    def from_json(cls, payload: object) -> "TraceCluster":
+        """Rebuild a persisted cluster; ``TraceError`` if it is ill-shaped."""
+
+        _require(isinstance(payload, dict), "cluster entry is not an object")
+        cluster = cls(cluster_id=payload.get("cluster_id"),
+                      program=payload.get("program"),
+                      scenario=payload.get("scenario"),
+                      crash_site=payload.get("crash_site"),
+                      bits=payload.get("bits"),
+                      arrival=payload.get("arrival"),
+                      members=payload.get("members", []),
+                      status=payload.get("status", "pending"),
+                      report=payload.get("report"),
+                      bug_key=payload.get("bug_key", ""),
+                      plan_fingerprint=payload.get("plan_fingerprint", ""),
+                      plan_version=payload.get("plan_version", 0))
+        checks = (
+            ("cluster_id", isinstance(cluster.cluster_id, str)),
+            ("program", isinstance(cluster.program, str)),
+            ("scenario", isinstance(cluster.scenario, str)),
+            ("crash_site", cluster.crash_site is None
+             or isinstance(cluster.crash_site, str)),
+            ("bits", _is_int(cluster.bits)),
+            ("arrival", _is_int(cluster.arrival)),
+            ("members", isinstance(cluster.members, list) and all(
+                isinstance(member, str) for member in cluster.members)),
+            ("status", cluster.status in _STATUSES),
+            ("report", cluster.report is None
+             or isinstance(cluster.report, dict)),
+            ("bug_key", isinstance(cluster.bug_key, str)),
+            ("plan_fingerprint", isinstance(cluster.plan_fingerprint, str)),
+            ("plan_version", _is_int(cluster.plan_version)),
+        )
+        bad = [name for name, ok in checks if not ok]
+        _require(not bad, f"cluster entry has ill-shaped {', '.join(bad)}")
+        cluster.members = list(cluster.members)
+        return cluster
+
+
+def _require(condition: bool, problem: str) -> None:
+    if not condition:
+        raise TraceError(problem)
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_str_map(value: object) -> bool:
+    return isinstance(value, dict) and all(
+        isinstance(key, str) and isinstance(item, str)
+        for key, item in value.items())
+
+
+def _trace_entry(value: object) -> Dict[str, str]:
+    """A validated copy of one ``traces`` ledger entry."""
+
+    _require(_is_str_map(value)
+             and all(name in value for name in _TRACE_FIELDS),
+             "trace entry is not an object of string fields "
+             f"{', '.join(_TRACE_FIELDS)}")
+    return dict(value)
 
 
 class TraceInbox:
@@ -418,6 +522,10 @@ class TraceInbox:
         #: grace poll.
         self._suspects: Dict[str, Tuple[int, int]] = {}
         self._sequence = 0
+        #: Lines in ``inbox.log`` and traces in ``inbox.json``: the
+        #: compaction rule compares the two.
+        self._log_records = 0
+        self._snapshot_traces = 0
         os.makedirs(self.root, exist_ok=True)
         if self.store_traces:
             os.makedirs(os.path.join(self.root, _TRACE_DIR), exist_ok=True)
@@ -425,49 +533,61 @@ class TraceInbox:
 
     # -- ingestion --------------------------------------------------------------
 
-    def ingest_bytes(self, data: bytes, source: str = "bytes",
-                     _defer_save: bool = False) -> IngestResult:
-        """Ingest one serialized trace; raises ``TraceError`` on bad bytes."""
+    def ingest_bytes(self, data: bytes, source: str = "bytes", *,
+                     trace: Optional[Trace] = None,
+                     spooled: bool = False) -> IngestResult:
+        """Ingest one serialized trace; raises ``TraceError`` on bad bytes.
+
+        *trace* is *data* already decoded, for callers that had to decode
+        it anyway (the network listener routes each upload by its bug key).
+        With *spooled*, *source* is a spool file path and its spool-ledger
+        entry goes into the same log record as the ingest.
+        """
 
         self._check_size(len(data), source)
-        trace = load_trace_bytes(data)
-        self._sequence += 1
+        if trace is None:
+            trace = load_trace_bytes(data)
+        sequence = self._sequence + 1
         digest = hashlib.sha256(data).hexdigest()[:8]
-        trace_id = f"t{self._sequence:05d}-{digest}"
+        trace_id = f"t{sequence:05d}-{digest}"
         bug_key = _bug_key(trace)
         cluster_id = _cluster_id(bug_key, _recording_digest(trace))
         crash = (f"{trace.crash_site.function}:{trace.crash_site.line}"
                  if trace.crash_site else None)
-        cluster = self.clusters.get(cluster_id)
-        duplicate = cluster is not None
-        if cluster is None:
-            cluster = TraceCluster(cluster_id=cluster_id,
-                                   program=trace.program_name,
-                                   scenario=trace.scenario,
-                                   crash_site=crash,
-                                   bits=len(trace.bitvector),
-                                   arrival=self._sequence,
-                                   bug_key=bug_key,
-                                   plan_fingerprint=plan_fingerprint_digest(
-                                       trace.plan),
-                                   plan_version=plan_version_of(
-                                       trace.plan.method) or 0)
-            self.clusters[cluster_id] = cluster
-        cluster.members.append(trace_id)
         stored = ""
         if self.store_traces:
             stored = os.path.join(_TRACE_DIR, f"{trace_id}.trace")
             with open(os.path.join(self.root, stored), "wb") as handle:
                 handle.write(data)
-        self.traces[trace_id] = {
-            "cluster": cluster_id,
-            "program": trace.program_name,
-            "scenario": trace.scenario,
-            "file": stored,
-            "source": source,
+        record: Dict[str, object] = {
+            "op": "ingest",
+            "seq": sequence,
+            "trace_id": trace_id,
+            "entry": {
+                "cluster": cluster_id,
+                "program": trace.program_name,
+                "scenario": trace.scenario,
+                "file": stored,
+                "source": source,
+            },
         }
-        if not _defer_save:
-            self._save_state()
+        duplicate = cluster_id in self.clusters
+        if not duplicate:
+            record["cluster"] = TraceCluster(
+                cluster_id=cluster_id,
+                program=trace.program_name,
+                scenario=trace.scenario,
+                crash_site=crash,
+                bits=len(trace.bitvector),
+                arrival=sequence,
+                members=[trace_id],
+                bug_key=bug_key,
+                plan_fingerprint=plan_fingerprint_digest(trace.plan),
+                plan_version=plan_version_of(trace.plan.method) or 0,
+            ).to_json()
+        if spooled:
+            record["spooled"] = source
+        self._commit(record)
         return IngestResult(trace_id=trace_id, cluster_id=cluster_id,
                             duplicate=duplicate, program=trace.program_name,
                             scenario=trace.scenario, crash_site=crash,
@@ -479,8 +599,10 @@ class TraceInbox:
             data = handle.read()
         return self.ingest_bytes(data, source=os.path.abspath(path))
 
-    def ingest_spooled(self, path: str, data: bytes) -> IngestResult:
-        """Ingest a spool file whose bytes the caller already holds.
+    def ingest_spooled(self, path: str, data: bytes,
+                       trace: Optional[Trace] = None) -> IngestResult:
+        """Ingest a spool file whose bytes (and, optionally, decoded
+        *trace*) the caller already holds.
 
         The network listener's path: it journals *data* into a spool
         partition itself, then records the ingestion against the file so a
@@ -502,10 +624,7 @@ class TraceInbox:
                                 crash_site=cluster.crash_site,
                                 bits=cluster.bits, source=path,
                                 bug_key=cluster.bug_key)
-        result = self.ingest_bytes(data, source=path, _defer_save=True)
-        self.spooled[path] = result.trace_id
-        self._save_state()
-        return result
+        return self.ingest_bytes(data, source=path, trace=trace, spooled=True)
 
     def poll_spool(self, spool_dir: str) -> List[IngestResult]:
         """Ingest every not-yet-seen spool file matching the pattern.
@@ -524,10 +643,10 @@ class TraceInbox:
         :func:`partition_dirs`) are descended into automatically, so one
         poll covers a sharded spool.
 
-        State is persisted once per file, *after* the spool ledger entry is
-        recorded, so the on-disk snapshot is always atomic: a crash mid-poll
-        either shows a file fully ingested (trace + ledger entry) or not at
-        all — never a trace that a restarted poll would ingest twice.
+        Each file's ingest and its spool-ledger entry are one log record,
+        so a crash mid-poll either shows a file fully ingested (trace +
+        ledger entry) or not at all — never a trace that a restarted poll
+        would ingest twice.
         """
 
         results: List[IngestResult] = []
@@ -559,8 +678,7 @@ class TraceInbox:
             try:
                 with open(path, "rb") as handle:
                     data = handle.read()
-                result = self.ingest_bytes(data, source=path,
-                                           _defer_save=True)
+                result = self.ingest_bytes(data, source=path, spooled=True)
             except FileNotFoundError:
                 continue  # vanished between stat and read
             except (TraceError, OSError) as exc:
@@ -576,8 +694,6 @@ class TraceInbox:
                 self._reject(path, exc)
                 continue
             self._suspects.pop(path, None)
-            self.spooled[path] = result.trace_id
-            self._save_state()
             results.append(result)
         return results
 
@@ -586,7 +702,7 @@ class TraceInbox:
 
         The network listener's entry point: a corrupt, oversized or
         over-quota upload gets a ledger entry under a ``net:`` pseudo-source
-        so the damage is visible in ``inbox.json`` and the
+        so the damage is visible in the rejection ledger and the
         ``service.rejected.*`` counters, exactly like a bad spool file.
         """
 
@@ -596,13 +712,10 @@ class TraceInbox:
         """Ledger one rejection (bounded) and bump its telemetry counter."""
 
         reason = f"{type(exc).__name__}: " + " ".join(str(exc).split())
-        self.rejected.pop(source, None)  # re-insertion moves it to newest
-        self.rejected[source] = reason
-        self._evict_rejected()
+        self._commit({"op": "reject", "source": source, "reason": reason})
         if self.registry is not None:
             self.registry.counter(
                 f"service.rejected.{type(exc).__name__}").inc()
-        self._save_state()
 
     def _evict_rejected(self) -> None:
         while len(self.rejected) > self.max_rejected > 0:
@@ -635,10 +748,11 @@ class TraceInbox:
 
     def mark_done(self, cluster_id: str, report: Dict[str, object],
                   failed: bool = False) -> None:
-        cluster = self.clusters[cluster_id]
-        cluster.status = "failed" if failed else "done"
-        cluster.report = report
-        self._save_state()
+        if cluster_id not in self.clusters:
+            raise KeyError(cluster_id)
+        self._commit({"op": "done", "cluster_id": cluster_id,
+                      "status": "failed" if failed else "done",
+                      "report": report})
 
     def trace_path(self, trace_id: str) -> str:
         """Absolute path of the stored copy of *trace_id*."""
@@ -674,9 +788,32 @@ class TraceInbox:
     def _state_path(self) -> str:
         return os.path.join(self.root, _STATE_FILE)
 
-    def _save_state(self) -> None:
+    def _log_path(self) -> str:
+        return os.path.join(self.root, _LOG_FILE)
+
+    def _commit(self, record: Dict[str, object]) -> None:
+        """Apply one mutation record to the state and append it to the log.
+
+        The live path and log replay share :meth:`_apply`, so a reload
+        rebuilds exactly the state the live inbox had.
+        """
+
+        self._apply(record)
         if not self.persist:
             return
+        with open(self._log_path(), "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(record) + "\n")
+        self._log_records += 1
+        if self._log_records > max(_COMPACT_FLOOR, self._snapshot_traces):
+            self._compact()
+
+    def _compact(self) -> None:
+        """Fold the log into a fresh snapshot, then empty the log.
+
+        A crash between the ``os.replace`` and the truncation leaves log
+        records the snapshot already holds; replaying them is a no-op.
+        """
+
         payload = {
             "version": _STATE_VERSION,
             "sequence": self._sequence,
@@ -687,26 +824,150 @@ class TraceInbox:
             "rejected": self.rejected,
         }
         tmp = self._state_path() + ".tmp"
-        with open(tmp, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(payload))
         os.replace(tmp, self._state_path())
+        with open(self._log_path(), "w"):
+            pass
+        self._log_records = 0
+        self._snapshot_traces = len(self.traces)
 
     def _load_state(self) -> None:
+        """Load the snapshot, then replay the log onto it."""
+
+        path = self._state_path()
         try:
-            with open(self._state_path()) as handle:
-                payload = json.load(handle)
+            with open(path, "rb") as handle:
+                payload = json.loads(handle.read())
+        except FileNotFoundError:
+            pass
+        except (OSError, ValueError, RecursionError) as exc:
+            raise TraceError(f"unreadable inbox state {path}: {exc}")
+        else:
+            try:
+                (self._sequence, self.traces, self.clusters, self.spooled,
+                 self.rejected) = _decode_snapshot(payload)
+            except TraceError as exc:
+                raise TraceError(f"ill-shaped inbox state {path}: {exc}")
+            self._snapshot_traces = len(self.traces)
+            self._evict_rejected()
+        self._replay_log()
+
+    def _replay_log(self) -> None:
+        path = self._log_path()
+        try:
+            with open(path, "rb") as handle:
+                data = handle.read()
         except FileNotFoundError:
             return
-        except (OSError, ValueError) as exc:
-            raise TraceError(f"unreadable inbox state {self._state_path()}: {exc}")
-        if payload.get("version") != _STATE_VERSION:
-            raise TraceError(
-                f"inbox state version {payload.get('version')} unsupported "
-                f"(this build reads version {_STATE_VERSION})")
-        self._sequence = payload.get("sequence", 0)
-        self.traces = dict(payload.get("traces", {}))
-        self.clusters = {cid: TraceCluster.from_json(entry)
-                         for cid, entry in payload.get("clusters", {}).items()}
-        self.spooled = dict(payload.get("spooled", {}))
-        self.rejected = dict(payload.get("rejected", {}))
-        self._evict_rejected()
+        except OSError as exc:
+            raise TraceError(f"unreadable inbox log {path}: {exc}")
+        # Only newline-terminated lines are records: each is appended with
+        # its newline in one write, so an unterminated tail is torn.
+        complete = data.rfind(b"\n") + 1
+        for line in data[:complete].split(b"\n")[:-1]:
+            self._log_records += 1
+            try:
+                self._apply(json.loads(line))
+            except (ValueError, RecursionError, TraceError):
+                continue  # unparsable or ill-shaped: skipped
+        if complete < len(data) and self.persist:
+            # Cut the torn tail off, or the next append would be glued to
+            # it and lost with it.
+            os.truncate(path, complete)
+
+    def _apply(self, record: object) -> None:
+        """Apply one log record; ``TraceError`` (state untouched) if it is
+        ill-shaped.  Applying a record the state already holds changes
+        nothing."""
+
+        _require(isinstance(record, dict), "log record is not an object")
+        op = record.get("op")
+        if op == "ingest":
+            self._apply_ingest(record)
+        elif op == "reject":
+            source, reason = record.get("source"), record.get("reason")
+            _require(isinstance(source, str) and isinstance(reason, str),
+                     "reject record is ill-shaped")
+            # Re-insertion moves the entry to newest and eviction drops the
+            # oldest, so the ledger ends as the newest max_rejected sources
+            # however often a record is replayed.
+            self.rejected.pop(source, None)
+            self.rejected[source] = reason
+            self._evict_rejected()
+        elif op == "done":
+            cluster_id = record.get("cluster_id")
+            cluster = (self.clusters.get(cluster_id)
+                       if isinstance(cluster_id, str) else None)
+            status, report = record.get("status"), record.get("report")
+            _require(cluster is not None and status in ("done", "failed")
+                     and (report is None or isinstance(report, dict)),
+                     "done record is ill-shaped")
+            cluster.status = status
+            cluster.report = report
+        else:
+            raise TraceError(f"log record has unknown op {op!r}")
+
+    def _apply_ingest(self, record: Dict[str, object]) -> None:
+        trace_id, sequence = record.get("trace_id"), record.get("seq")
+        _require(isinstance(trace_id, str) and trace_id not in self.traces
+                 and _is_int(sequence), "ingest record is ill-shaped")
+        entry = _trace_entry(record.get("entry"))
+        cluster_id = entry["cluster"]
+        spooled = record.get("spooled")
+        _require(spooled is None or isinstance(spooled, str),
+                 "ingest record has an ill-shaped spool path")
+        if "cluster" in record:
+            cluster = TraceCluster.from_json(record["cluster"])
+            _require(cluster.cluster_id == cluster_id
+                     and cluster_id not in self.clusters
+                     and cluster.members == [trace_id],
+                     "ingest record's new cluster does not match it")
+            self.clusters[cluster_id] = cluster
+        else:
+            _require(cluster_id in self.clusters,
+                     "ingest record names an unknown cluster")
+            self.clusters[cluster_id].members.append(trace_id)
+        self.traces[trace_id] = entry
+        if spooled is not None:
+            self.spooled[spooled] = trace_id
+        self._sequence = max(self._sequence, sequence)
+
+
+def _decode_snapshot(payload: object):
+    """``(sequence, traces, clusters, spooled, rejected)`` from a
+    parsed ``inbox.json``; ``TraceError`` unless it is well-shaped and its
+    traces and clusters refer to each other consistently."""
+
+    _require(isinstance(payload, dict), "not a JSON object")
+    version = payload.get("version")
+    _require(_is_int(version) and version in _READABLE_VERSIONS,
+             f"version {version!r} unsupported (this build reads versions "
+             f"{', '.join(map(str, _READABLE_VERSIONS))})")
+    sequence = payload.get("sequence", 0)
+    _require(_is_int(sequence), "sequence must be an integer")
+    raw_traces = payload.get("traces", {})
+    raw_clusters = payload.get("clusters", {})
+    spooled = payload.get("spooled", {})
+    rejected = payload.get("rejected", {})
+    _require(isinstance(raw_traces, dict) and isinstance(raw_clusters, dict),
+             "traces and clusters must be objects")
+    _require(_is_str_map(spooled) and _is_str_map(rejected),
+             "spooled and rejected must map strings to strings")
+    traces = {trace_id: _trace_entry(entry)
+              for trace_id, entry in raw_traces.items()}
+    clusters = {}
+    for cluster_id, entry in raw_clusters.items():
+        cluster = TraceCluster.from_json(entry)
+        _require(cluster.cluster_id == cluster_id,
+                 f"cluster {cluster_id!r} is filed under another id")
+        clusters[cluster_id] = cluster
+    members = [(member, cluster_id) for cluster_id, cluster in clusters.items()
+               for member in cluster.members]
+    _require(len(members) == len(traces) and dict(members) == {
+        trace_id: entry["cluster"] for trace_id, entry in traces.items()},
+        "cluster members and traces disagree")
+    _require(all(trace_id == "" or trace_id in traces
+                 for trace_id in spooled.values()),
+             "spooled names an unknown trace")
+    return sequence, traces, clusters, dict(spooled), dict(rejected)

@@ -83,7 +83,7 @@ from repro.service.inbox import (
     _bug_key,
 )
 from repro.service.service import ReproService
-from repro.trace import TraceError, load_trace_bytes
+from repro.trace import Trace, TraceError, load_trace_bytes
 
 __all__ = [
     "ProtocolError",
@@ -243,7 +243,7 @@ class _PendingUpload:
     """One accepted upload travelling the bounded ingest queue."""
 
     __slots__ = ("client", "digest", "data", "partition", "filename",
-                 "result", "done")
+                 "trace", "result", "done")
 
     def __init__(self, client: str, digest: str, data: bytes,
                  partition: int, filename: str) -> None:
@@ -252,6 +252,8 @@ class _PendingUpload:
         self.data = data
         self.partition = partition
         self.filename = filename
+        #: *data* decoded, when the handler already decoded it to route it.
+        self.trace: Optional[Trace] = None
         self.result: Optional[Tuple[str, Dict[str, object]]] = None
         self.done = threading.Event()
 
@@ -535,6 +537,7 @@ class UploadServer:
                     "reason": f"quota of {quota} reports exhausted"}
             accepted.add(digest)
         pending = _PendingUpload(client, digest, body, partition, filename)
+        pending.trace = trace  # the spool writer ingests it without decoding
         try:
             self._queue.put_nowait(pending)
         except queue.Full:
@@ -646,7 +649,8 @@ class UploadServer:
                                   key=item.filename, faults=self.faults)
             self.faults.crash_point("net.after_commit")
             with self._lock:
-                result = self.service.ingest_spooled(path, item.data)
+                result = self.service.ingest_spooled(path, item.data,
+                                                     trace=item.trace)
             self.faults.crash_point("net.after_ingest")
         except OSError as exc:
             # A failing disk must not fail the client permanently: nothing

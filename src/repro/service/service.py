@@ -50,7 +50,7 @@ from repro.telemetry import (
     span,
     write_jsonl,
 )
-from repro.trace import TraceError, load_trace
+from repro.trace import Trace, TraceError, load_trace
 
 __all__ = [
     "ReproService",
@@ -348,7 +348,8 @@ class ReproService:
         return [self._note_arrival(result)
                 for result in self.inbox.poll_spool(spool_dir)]
 
-    def ingest_spooled(self, path: str, data: bytes) -> IngestResult:
+    def ingest_spooled(self, path: str, data: bytes,
+                       trace: Optional[Trace] = None) -> IngestResult:
         """Ingest bytes the caller already journaled into the spool.
 
         The network listener's path (see :mod:`repro.service.net`): the
@@ -359,7 +360,7 @@ class ReproService:
         """
 
         known = os.path.abspath(path) in self.inbox.spooled
-        result = self.inbox.ingest_spooled(path, data)
+        result = self.inbox.ingest_spooled(path, data, trace=trace)
         return result if known else self._note_arrival(result)
 
     @property

@@ -16,10 +16,12 @@ import json
 import os
 import socket
 import struct
+import tempfile
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import InstrumentationMethod, ReplayBudget
 from repro.service import (
@@ -235,6 +237,53 @@ class TestSpoolJournal:
         assert fresh.recover() == {"d.trace": os.path.abspath(final)}
         fresh.close()
 
+    def test_record_after_torn_line_is_not_glued_to_it(self, tmp_path):
+        with open(str(tmp_path / "journal.log"), "w") as handle:
+            handle.write('{"op": "BEGIN", "key": "torn')  # crash mid-append
+        journal = SpoolJournal(str(tmp_path))
+        final = str(tmp_path / "e.trace")
+        journaled_spool_write(journal, final, b"ok")
+        journal.search_begin("c1")
+        journal.close()
+        fresh = SpoolJournal(str(tmp_path))
+        assert fresh.recover() == {"e.trace": os.path.abspath(final)}
+        assert fresh.recover_searches() == ["c1"]
+        fresh.close()
+
+    @pytest.mark.parametrize("line", [
+        b"5", b"[1]", b'"BEGIN"', b"null",
+        b'{"op": "BEGIN", "key": "x"}',               # no path
+        b'{"op": "BEGIN", "key": 7, "path": "/x"}',   # key not a string
+        b'{"op": "COMMIT"}',                         # no key
+        b'{"op": "SEARCH_BEGIN"}',                   # no key
+        b'{"op": "SEARCH_END", "key": ["c1"]}',
+        b'{"key": "x"}',                             # no op
+        b"\xff\xfe{",                                # not UTF-8
+    ])
+    def test_ill_shaped_records_are_skipped(self, tmp_path, line):
+        journal = SpoolJournal(str(tmp_path))
+        final = str(tmp_path / "f.trace")
+        journal.search_begin("c1")
+        journal.close()
+        with open(str(tmp_path / "journal.log"), "ab") as handle:
+            handle.write(line + b"\n")
+        journal = SpoolJournal(str(tmp_path))
+        journaled_spool_write(journal, final, b"ok")
+        assert journal.recover() == {"f.trace": os.path.abspath(final)}
+        assert journal.recover_searches() == ["c1"]
+        journal.close()
+
+    @given(st.binary(max_size=300))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_recovery_is_total_over_arbitrary_bytes(self, data):
+        with tempfile.TemporaryDirectory() as root:
+            with open(os.path.join(root, "journal.log"), "wb") as handle:
+                handle.write(data)
+            journal = SpoolJournal(root)
+            assert isinstance(journal.recover(), dict)
+            assert isinstance(journal.recover_searches(), list)
+            journal.close()
+
 
 # ---------------------------------------------------------------------------
 # inbox robustness satellites: size cap, grace poll, bounded ledger
@@ -368,6 +417,30 @@ class TestUploadServer:
             assert described["traces"] == 1  # not ingested twice
             counters = server.service.registry.snapshot().counters
             assert counters["service.net.duplicate_uploads"] == 1
+
+    def test_each_upload_is_decoded_once(self, tmp_path, mkdir_bytes,
+                                         mkfifo_bytes, monkeypatch):
+        import repro.service.inbox as inbox_module
+        import repro.service.net as net_module
+
+        decodes = []
+        real_decode = net_module.load_trace_bytes
+
+        def counting_decode(data):
+            decodes.append(len(data))
+            return real_decode(data)
+
+        monkeypatch.setattr(net_module, "load_trace_bytes", counting_decode)
+        monkeypatch.setattr(inbox_module, "load_trace_bytes", counting_decode)
+        with start_server(tmp_path) as server:
+            client = UploadClient(server.host, server.port, client_id="ada")
+            for data in (mkdir_bytes, mkdir_bytes, mkfifo_bytes):
+                client.upload(data)
+            with server._lock:
+                assert server.service.inbox.describe()["traces"] == 2
+        # The idempotent re-upload is decoded (to route it) but not
+        # ingested; each ingested upload is decoded exactly once.
+        assert decodes == [len(mkdir_bytes)] * 2 + [len(mkfifo_bytes)]
 
     def test_reports_byte_identical_to_single_shot(self, tmp_path,
                                                    mkdir_bytes):
